@@ -8,9 +8,12 @@
 //! = 1000 event appends + one explicit flush.
 //!
 //! Read-side benches cover the two query shapes the paper's analyses
-//! use — a time-windowed scan (sparse index pruning) and a whole-run
-//! rule-fire aggregation — plus the streaming cursor over the same
-//! window (`store_scan_stream_100k`, no result materialization). All
+//! use — a time-windowed scan (sparse index pruning) and rule-fire
+//! aggregation over a whole run (`store_fire_counts_100k`, per-batch
+//! tallies) and over a 15-interval window that straddles batches
+//! (`store_fire_counts_window_100k`, rollup rows) — plus the streaming
+//! cursor over the scan window (`store_scan_stream_100k`, no result
+//! materialization). All
 //! run against the default (v2) format; CI gates the collected scan at
 //! ≥2× and `store_fire_counts_100k` at ≥5× the v1-era baselines
 //! recorded in `BENCH_store.json`.
@@ -152,6 +155,16 @@ fn bench_store(c: &mut Criterion) {
     c.bench_function("store_fire_counts_100k", |b| {
         b.iter(|| {
             let counts = store.fire_counts(Some(run), 0..u64::MAX).expect("counts");
+            black_box(counts.total_fires())
+        })
+    });
+
+    // A 15-interval window inside every 256-record batch it touches:
+    // no batch is covered whole, so the answer comes from the index's
+    // (run, interval) rollup rows rather than the per-batch tallies.
+    c.bench_function("store_fire_counts_window_100k", |b| {
+        b.iter(|| {
+            let counts = store.fire_counts(Some(run), 540..555).expect("counts");
             black_box(counts.total_fires())
         })
     });

@@ -27,7 +27,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
                     c >> 1
                 };
             }
-            // dasr-lint: allow(G3) reason="i ranges over 0..256, the fixed table width"
+            // i ranges over 0..256, the fixed table width.
             t[0][i] = c;
         }
         for k in 1..8 {
@@ -47,7 +47,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
-        // dasr-lint: allow(G3) reason="chunks_exact(8) yields exactly 8-byte slices"
+        // chunks_exact(8) yields exactly 8-byte slices.
         let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
         let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
         c = t[7][(lo & 0xFF) as usize]

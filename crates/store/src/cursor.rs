@@ -31,7 +31,7 @@ use std::io::{Read as _, Seek as _, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::codec::BatchDecoder;
 use crate::crc::crc32;
@@ -39,6 +39,7 @@ use crate::index::{IndexEntry, SegmentIndex};
 use crate::record::{etag_of, Cursor, RecordPayload, RunId, StoredRecord};
 use crate::segment::{self, FormatVersion, BATCH_OVERHEAD};
 use crate::store::{FireCounts, StoreError};
+use crate::writer::WriterSnapshot;
 
 /// What record shapes a query wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,7 +144,8 @@ fn frame_len(idx: &SegmentIndex, i: usize) -> usize {
         .entries
         .get(i + 1)
         .map_or(idx.seg_bytes, |next| next.offset);
-    // dasr-lint: allow(G3) reason="entries[i] follows a successful matches-check at index i; get(i+1) guards the far edge"
+    // entries[i] follows a successful matches-check at index i; get(i+1)
+    // guards the far edge.
     (end - idx.entries[i].offset) as usize
 }
 
@@ -156,7 +158,7 @@ fn verify_frame(frame: &[u8], offset: u64) -> Result<u32, String> {
             "batch frame at offset {offset} shorter than its overhead"
         ));
     }
-    // dasr-lint: allow(G3) reason="frame length checked against BATCH_OVERHEAD just above"
+    // Frame length checked against BATCH_OVERHEAD just above.
     let n_records = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
     let payload_len = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]) as usize;
     if payload_len + BATCH_OVERHEAD != len {
@@ -381,32 +383,29 @@ where
 /// True when every record a batch described by `e` could contribute to
 /// the query is *provably* admitted — the interval window contains the
 /// batch's whole bounding box and the run filter (if any) is pinned by
-/// `min_run == max_run`. For such a batch the index tally IS the
-/// answer, so the batch is never read.
+/// `min_run == max_run`. For such a batch the entry's tally IS the
+/// answer.
 // dasr-lint: no-alloc
 fn tally_covers_entry(query: &Query, e: &IndexEntry) -> bool {
-    query.tenant.is_none()
-        && query
-            .intervals
-            .as_ref()
-            .is_none_or(|w| w.start <= e.min_interval && e.max_interval < w.end)
+    query
+        .intervals
+        .as_ref()
+        .is_none_or(|w| w.start <= e.min_interval && e.max_interval < w.end)
         && query
             .run
             .is_none_or(|r| e.min_run == e.max_run && e.min_run == r.0)
 }
 
-/// One segment's contribution to a fire-count query: fully-covered
-/// batches sum their index tallies without any file I/O; only batches
-/// the window (or a multi-run segment) straddles are read and decoded.
+/// One segment's contribution to a fire-count query, from its index
+/// alone: a fully-covered batch sums its entry tally, any other batch
+/// the query admits sums the rollup rows of the (run, interval) pairs
+/// the query keeps.
 fn fires_segment(
-    dir: &Path,
     idx: &SegmentIndex,
     query: &Query,
     counts: &mut FireCounts,
-    buf: &mut Vec<u8>,
-) -> Result<(), String> {
-    let name = || segment::file_name(idx.segment_id);
-    let mut file: Option<File> = None;
+) -> Result<(), &'static str> {
+    let window = query.intervals.as_ref();
     for (i, entry) in idx.entries.iter().enumerate() {
         if !query.matches_entry(entry) {
             continue;
@@ -415,85 +414,49 @@ fn fires_segment(
             counts.merge_tally(&entry.fires);
             continue;
         }
-        let file = match file.as_mut() {
-            Some(f) => f,
-            None => file.insert(
-                File::open(dir.join(name()))
-                    .map_err(|e| format!("segment {} open failed: {e}", name()))?,
-            ),
-        };
-        let n_records = read_frame(file, entry.offset, frame_len(idx, i), buf)
-            .map_err(|e| format!("segment {}: {e}", name()))?;
-        // dasr-lint: allow(G3) reason="read_frame only returns buffers at least BATCH_OVERHEAD (12 bytes) long"
-        let payload = &buf[8..buf.len() - 4];
-        segment::decode_payload(idx.version, payload, n_records, |rec| {
-            if query.matches_record(rec) {
-                if let RecordPayload::Event(ev) = &rec.payload {
-                    counts.record(&ev.kind);
+        for row in idx.rollup_rows(i)? {
+            let row = row?;
+            if let Some(run) = query.run {
+                // Rows run in (run, interval) order: past the window's
+                // end in the queried run, nothing later can match.
+                let past_end = window.is_some_and(|w| row.interval >= w.end);
+                if row.run > run.0 || (row.run == run.0 && past_end) {
+                    break;
+                }
+                if row.run < run.0 {
+                    continue;
                 }
             }
-        })
-        .map_err(|e| format!("segment {} batch at offset {}: {e}", name(), entry.offset))?;
+            if window.is_none_or(|w| w.contains(&row.interval)) {
+                counts.merge_tally(&row.fires);
+            }
+        }
     }
     Ok(())
 }
 
-/// [`fold_records`] specialized to rule-fire counting: the per-batch
-/// [`FireTally`](crate::index::FireTally) in the index answers every
-/// fully-covered batch with pure index arithmetic, so a whole-run
-/// `fire_counts` is an index walk, not a decode (the ≥5× bar
-/// `store_fire_counts_100k` gates on). Partials still merge in segment
-/// id order at any thread count — `FireCounts::merge` is commutative,
-/// but `scan_equivalence` need not rely on it.
+/// Rule-fire counting answered from the index alone: per-batch
+/// [`FireTally`](crate::index::FireTally)s for batches the window
+/// covers, (run, interval) rollup rows for the rest — no segment file
+/// is opened. Segments are summed in id order.
 ///
-/// `query.shape` must admit every event shape the tallies count (the
-/// [`Store::fire_counts`](crate::Store::fire_counts) mask): a narrower
-/// mask would make covered batches overcount relative to a decode.
+/// `query.tenant` must be `None` (the index does not split fires by
+/// tenant), and `query.shape` must admit every event shape the tallies
+/// count (the [`Store::fire_counts`](crate::Store::fire_counts) mask):
+/// a narrower mask would make the index overcount relative to a decode.
 pub(crate) fn fold_fires(
-    dir: &Path,
     indices: &[SegmentIndex],
     query: &Query,
-    threads: usize,
 ) -> Result<FireCounts, StoreError> {
-    let work: Vec<&SegmentIndex> = indices
-        .iter()
-        .filter(|idx| idx.entries.iter().any(|e| query.matches_entry(e)))
-        .collect();
-    let threads = threads.clamp(1, work.len().max(1));
+    debug_assert!(query.tenant.is_none(), "fire counts are not per tenant");
     let mut total = FireCounts::default();
-    if threads <= 1 {
-        let mut buf = Vec::new();
-        for idx in &work {
-            fires_segment(dir, idx, query, &mut total, &mut buf).map_err(StoreError::Corrupt)?;
-        }
-        return Ok(total);
-    }
-    let cursor = AtomicUsize::new(0);
-    let partials: Mutex<Vec<(usize, Result<FireCounts, String>)>> =
-        Mutex::new(Vec::with_capacity(work.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut buf = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(idx) = work.get(k) else { break };
-                    let mut acc = FireCounts::default();
-                    let res = fires_segment(dir, idx, query, &mut acc, &mut buf).map(|()| acc);
-                    partials
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((k, res));
-                }
-            });
-        }
-    });
-    let mut partials = partials
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    partials.sort_unstable_by_key(|(k, _)| *k);
-    for (_, part) in partials {
-        total.merge(&part.map_err(StoreError::Corrupt)?);
+    for idx in indices {
+        fires_segment(idx, query, &mut total).map_err(|e| {
+            StoreError::Corrupt(format!(
+                "segment {} index: {e}",
+                segment::file_name(idx.segment_id)
+            ))
+        })?;
     }
     Ok(total)
 }
@@ -510,7 +473,7 @@ pub(crate) fn fold_fires(
 pub struct RecordCursor {
     dir: PathBuf,
     query: Query,
-    indices: Vec<SegmentIndex>,
+    snapshot: Arc<WriterSnapshot>,
     /// Position in `indices`.
     seg: usize,
     /// Next entry to consider within the current segment.
@@ -532,11 +495,11 @@ pub struct RecordCursor {
 }
 
 impl RecordCursor {
-    pub(crate) fn new(dir: PathBuf, indices: Vec<SegmentIndex>, query: Query) -> Self {
+    pub(crate) fn new(dir: PathBuf, snapshot: Arc<WriterSnapshot>, query: Query) -> Self {
         Self {
             dir,
             query,
-            indices,
+            snapshot,
             seg: 0,
             entry: 0,
             file: None,
@@ -554,7 +517,7 @@ impl RecordCursor {
     /// reusable buffer. `Ok(false)` means the store is exhausted.
     fn load_next_batch(&mut self) -> Result<bool, String> {
         loop {
-            let Some(idx) = self.indices.get(self.seg) else {
+            let Some(idx) = self.snapshot.indices.get(self.seg) else {
                 return Ok(false);
             };
             while self.entry < idx.entries.len() {

@@ -30,7 +30,8 @@
 //!   [`cursor`] — the layers: bit-exact record codec (fixed-width v1
 //!   and delta/varint/dictionary v2 framing), CRC-framed batches in
 //!   numbered segments, sparse per-batch time index with content
-//!   filters and fire tallies, deterministic writer thread, and the
+//!   filters, fire tallies and (run, interval) fire-count rollups,
+//!   deterministic writer thread, and the
 //!   streaming/parallel read fast path ([`Query`], [`RecordCursor`]).
 //!
 //! Floats are stored as raw IEEE-754 bits, so an archived run replays

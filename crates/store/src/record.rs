@@ -421,8 +421,9 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 }
 
 /// Bounds-checked little-endian reader over a byte slice. Shared with
-/// the v2 codec ([`crate::codec`]), which layers varint reads on top of
-/// the same truncation-checked primitive.
+/// the v2 codec ([`crate::codec`]) and the index's rollup reader, which
+/// layer varint reads on top of the same truncation-checked primitive.
+#[derive(Debug)]
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -9,7 +9,7 @@
 //!   seg-000000.dseg    segment 0 (sealed)
 //!   seg-000000.idx     its sparse index sidecar
 //!   seg-000001.dseg    segment 1 (active, appendable)
-//!   seg-000001.idx     its sidecar (refreshed at every flush)
+//!   seg-000001.idx     its sidecar (written when the store closes)
 //! ```
 //!
 //! **Commit protocol.** Records append through the writer thread into the
@@ -22,14 +22,17 @@
 //! never a corrupted or aliased — run.
 //!
 //! **Queries.** Every query first flushes the writer (so results include
-//! all appends that happened-before the call), then runs a [`Query`]
-//! through the cursor layer: only batches whose index entry — interval
-//! bounding box, run range, tenant-presence filter, kind bitmap — may
-//! match are read or decoded, segments fan out across
+//! all appends that happened-before the call; with nothing appended the
+//! flush writes nothing and returns the shared index snapshot), then
+//! runs a [`Query`] through the cursor layer: only batches whose index
+//! entry — interval bounding box, run range, tenant-presence filter, kind
+//! bitmap — may match are read or decoded, segments fan out across
 //! [`read_threads`](Store::read_threads) workers, and per-segment
 //! partials fold back in segment order, so results are in append order
 //! and byte-identical at any thread count. [`Store::cursor`] exposes the
 //! same machinery as a lazy iterator with O(batch) memory.
+//! [`Store::fire_counts`] reads no segment at all: the index's per-batch
+//! tallies and (run, interval) rollup rows answer it.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -44,7 +47,7 @@ use crate::index::{FireTally, KindSet, SegmentIndex};
 use crate::record::{etag, RecordPayload, RunId, StoredRecord};
 use crate::segment::{self, FormatVersion};
 use crate::sink::StoreSink;
-use crate::writer::{StoreWriter, WriterConfig, WriterSnapshot};
+use crate::writer::{StoreWriter, WriterConfig};
 use dasr_core::json::{self, Json};
 use dasr_core::obs::{BalloonPhase, DenyReason, EventKind, RunEvent};
 use dasr_core::replay::{RecordingHeader, RunRecording, SampleRecord};
@@ -250,10 +253,10 @@ impl FireCounts {
         }
     }
 
-    /// Adds one batch's index-side tally — the zero-decode path of
-    /// [`Store::fire_counts`]: a batch the query admits in full
-    /// contributes its pre-computed counters straight off the sidecar.
-    /// Slot order is fixed by [`FireTally`]'s docs.
+    /// Adds an index-side tally — a whole batch's, or one (run,
+    /// interval) rollup row's — the zero-decode path of
+    /// [`Store::fire_counts`]. Slot order is fixed by [`FireTally`]'s
+    /// docs.
     pub fn merge_tally(&mut self, t: &FireTally) {
         self.interval_starts += u64::from(t.0[0]);
         self.resizes_issued += u64::from(t.0[1]);
@@ -264,21 +267,6 @@ impl FireCounts {
         self.balloon_aborted += u64::from(t.0[6]);
         self.balloon_confirmed += u64::from(t.0[7]);
         self.slo_violations += u64::from(t.0[8]);
-    }
-
-    /// Adds another tally into this one — the exact-sum monoid queries
-    /// use to combine per-segment partials (order-independent, so the
-    /// parallel fold cannot perturb totals).
-    pub fn merge(&mut self, other: &Self) {
-        self.interval_starts += other.interval_starts;
-        self.resizes_issued += other.resizes_issued;
-        self.denied_cooldown += other.denied_cooldown;
-        self.denied_budget += other.denied_budget;
-        self.budget_throttles += other.budget_throttles;
-        self.balloon_started += other.balloon_started;
-        self.balloon_aborted += other.balloon_aborted;
-        self.balloon_confirmed += other.balloon_confirmed;
-        self.slo_violations += other.slo_violations;
     }
 
     /// Total rule fires (everything except interval bookkeeping).
@@ -553,7 +541,7 @@ impl Store {
 
     /// Flushes buffered records to disk without committing anything.
     pub fn flush(&self) -> Result<(), StoreError> {
-        self.writer.flush().map(|_| ())
+        self.writer.flush()
     }
 
     /// Flushes, stops the writer thread, and consumes the store. Open
@@ -565,7 +553,7 @@ impl Store {
 
     /// Size accounting from the index — no data reads.
     pub fn stats(&self) -> Result<StoreStats, StoreError> {
-        let snap = self.writer.flush()?;
+        let snap = self.writer.snapshot()?;
         Ok(StoreStats {
             segments: snap.indices.len() as u64,
             batches: snap.indices.iter().map(|i| i.entries.len() as u64).sum(),
@@ -631,8 +619,8 @@ impl Store {
     /// the dominant cost.
     // dasr-lint: entry(G3)
     pub fn cursor(&self, query: Query) -> Result<RecordCursor, StoreError> {
-        let snap: WriterSnapshot = self.writer.flush()?;
-        Ok(RecordCursor::new(self.dir.clone(), snap.indices, query))
+        let snap = self.writer.snapshot()?;
+        Ok(RecordCursor::new(self.dir.clone(), snap, query))
     }
 
     /// One tenant's event stream within a run, in append order.
@@ -702,7 +690,10 @@ impl Store {
     }
 
     /// Rule-fire totals over an interval window — one run or (with
-    /// `run = None`) aggregated across every run in the store.
+    /// `run = None`) aggregated across every run in the store. Answered
+    /// from the index alone (per-batch tallies and (run, interval)
+    /// rollup rows), so it opens no segment file and runs on the
+    /// caller's thread whatever [`read_threads`](Self::read_threads) is.
     // dasr-lint: entry(G3)
     pub fn fire_counts(
         &self,
@@ -713,16 +704,16 @@ impl Store {
         // only end-of-interval events (or samples) are pruned unread.
         let counted = KindSet::ALL_EVENTS & !(1 << etag::INTERVAL_END);
         // The shape mask must admit everything the index tallies count —
-        // `cursor::fold_fires` answers fully-covered batches from their
-        // per-batch `FireTally` without decoding them.
+        // `cursor::fold_fires` answers every batch from its `FireTally`
+        // or its (run, interval) rollup rows without reading it.
         let query = Query {
             intervals: Some(intervals),
             run,
             shape: Shape::Events(counted),
             ..Query::default()
         };
-        let snap: WriterSnapshot = self.writer.flush()?;
-        cursor::fold_fires(&self.dir, &snap.indices, &query, self.read_threads)
+        let snap = self.writer.snapshot()?;
+        cursor::fold_fires(&snap.indices, &query)
     }
 
     /// Reconstructs a committed run (optionally narrowed to one tenant)
@@ -759,7 +750,7 @@ impl Store {
         M: Fn() -> T + Sync,
         F: Fn(&mut T, &StoredRecord) + Sync,
     {
-        let snap: WriterSnapshot = self.writer.flush()?;
+        let snap = self.writer.snapshot()?;
         cursor::fold_records(
             &self.dir,
             &snap.indices,
@@ -1064,9 +1055,10 @@ mod tests {
     #[test]
     fn fire_counts_decode_mixed_run_batches() {
         // Interleaved appends from two runs share batches, so
-        // `min_run != max_run` defeats the index-tally shortcut: a
-        // run-filtered count must fall back to decoding and still be
-        // exact (the tally would lump both runs together).
+        // `min_run != max_run` defeats the per-batch tally: a
+        // run-filtered count must come from the (run, interval) rollup
+        // rows and still be exact (the tally would lump both runs
+        // together).
         let dir = fresh_dir("fires-mixed");
         let mut store = Store::open(&dir).expect("open");
         let a = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 1));

@@ -13,9 +13,14 @@
 //! [`SegmentIndex`] of every segment. Rollover happens when a batch write
 //! pushes the active segment past [`WriterConfig::segment_max_bytes`]:
 //! the segment is sealed (final flush + `.idx` sidecar) and the next
-//! numbered segment is created. Flush replies carry a [`WriterSnapshot`]
-//! — the full index set — which is how the query side sees fresh data
-//! without sharing mutable state.
+//! numbered segment is created. The active segment's sidecar is written
+//! at shutdown, not at every flush: recovery always rebuilds the active
+//! segment's index from its bytes, so rewriting a sidecar that grows
+//! with the segment on every flush would buy nothing. Flush replies
+//! carry a shared [`WriterSnapshot`] — the full index set — which is how
+//! the query side sees fresh data without sharing mutable state. A flush
+//! with nothing appended since the last one writes nothing and hands
+//! back the same snapshot, so reads never write.
 //!
 //! I/O errors are sticky: the first failure is kept, subsequent appends
 //! are dropped, and every later flush reports the original error.
@@ -23,11 +28,11 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use crate::codec::BatchEncoder;
-use crate::index::{IndexEntry, SegmentIndex};
+use crate::index::{BatchIndexer, SegmentIndex};
 use crate::record::StoredRecord;
 use crate::segment::{self, FormatVersion};
 use crate::StoreError;
@@ -84,12 +89,26 @@ impl WriterSnapshot {
     }
 }
 
-type Ack = mpsc::Sender<Result<WriterSnapshot, String>>;
+type Reply<T> = mpsc::Sender<Result<T, String>>;
 
 enum Msg {
     Append(StoredRecord),
-    Flush(Ack),
-    Shutdown(Ack),
+    Flush(Reply<()>),
+    /// A flush whose reply carries the index snapshot (what queries need).
+    Snapshot(Reply<Arc<WriterSnapshot>>),
+    Shutdown(Reply<Arc<WriterSnapshot>>),
+}
+
+/// Sends the message `msg` builds around a fresh reply channel and waits
+/// for the writer thread's answer.
+fn request<T>(tx: &mpsc::Sender<Msg>, msg: impl FnOnce(Reply<T>) -> Msg) -> Result<T, StoreError> {
+    let (ack, rx) = mpsc::channel();
+    tx.send(msg(ack)).map_err(|_| StoreError::Closed)?;
+    match rx.recv() {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(StoreError::Backend(e)),
+        Err(_) => Err(StoreError::Closed),
+    }
 }
 
 /// Handle to the writer thread. Cloneable append capability is exposed to
@@ -117,16 +136,8 @@ impl AppendHandle {
     }
 
     /// Flushes buffered records to disk and waits for the ack.
-    pub fn flush(&self) -> Result<WriterSnapshot, StoreError> {
-        let (ack, rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Flush(ack))
-            .map_err(|_| StoreError::Closed)?;
-        match rx.recv() {
-            Ok(Ok(snap)) => Ok(snap),
-            Ok(Err(e)) => Err(StoreError::Backend(e)),
-            Err(_) => Err(StoreError::Closed),
-        }
+    pub fn flush(&self) -> Result<(), StoreError> {
+        request(&self.tx, Msg::Flush)
     }
 }
 
@@ -153,10 +164,12 @@ impl StoreWriter {
             file,
             indices,
             batch_payload: Vec::new(),
-            batch_entry: IndexEntry::empty(0),
+            batch: BatchIndexer::new(0),
             frame_buf: Vec::new(),
             encoder: BatchEncoder::new(),
             records_appended: 0,
+            dirty: false,
+            snapshot: None,
             error: None,
         };
         let thread = std::thread::Builder::new()
@@ -167,10 +180,14 @@ impl StoreWriter {
                         Msg::Append(rec) => state.append(&rec),
                         Msg::Flush(ack) => {
                             state.flush_all();
+                            let _ = ack.send(state.error.clone().map_or(Ok(()), Err));
+                        }
+                        Msg::Snapshot(ack) => {
+                            state.flush_all();
                             let _ = ack.send(state.reply());
                         }
                         Msg::Shutdown(ack) => {
-                            state.flush_all();
+                            state.finish();
                             let _ = ack.send(state.reply());
                             return;
                         }
@@ -198,13 +215,19 @@ impl StoreWriter {
             .map_err(|_| StoreError::Closed)
     }
 
-    /// Flushes buffered records and returns the post-flush snapshot.
-    pub fn flush(&self) -> Result<WriterSnapshot, StoreError> {
-        self.handle().flush()
+    /// Flushes buffered records to disk.
+    pub fn flush(&self) -> Result<(), StoreError> {
+        request(&self.tx, Msg::Flush)
+    }
+
+    /// Flushes buffered records and returns the post-flush snapshot —
+    /// shared, and rebuilt only when records arrived since the last one.
+    pub fn snapshot(&self) -> Result<Arc<WriterSnapshot>, StoreError> {
+        request(&self.tx, Msg::Snapshot)
     }
 
     /// Flushes, stops the thread, and joins it. Idempotent.
-    pub fn shutdown(&mut self) -> Result<Option<WriterSnapshot>, StoreError> {
+    pub fn shutdown(&mut self) -> Result<Option<Arc<WriterSnapshot>>, StoreError> {
         let Some(thread) = self.thread.take() else {
             return Ok(None);
         };
@@ -234,14 +257,20 @@ struct WriterState {
     indices: Vec<SegmentIndex>,
     /// Encoded records of the open (unwritten) batch.
     batch_payload: Vec<u8>,
-    /// Bounding box of the open batch.
-    batch_entry: IndexEntry,
+    /// Index entry and fire-count rollup of the open batch.
+    batch: BatchIndexer,
     /// Reusable frame buffer for batch writes.
     frame_buf: Vec<u8>,
     /// v2 batch encoder; reset at every batch boundary. Unused while the
     /// active segment is v1.
     encoder: BatchEncoder,
     records_appended: u64,
+    /// Set by every append; cleared once a flush has written the open
+    /// batch.
+    dirty: bool,
+    /// The snapshot handed to readers since the last flush that found
+    /// the state dirty.
+    snapshot: Option<Arc<WriterSnapshot>>,
     /// Sticky first I/O error; set once, reported on every later flush.
     error: Option<String>,
 }
@@ -264,16 +293,18 @@ impl WriterState {
         if self.error.is_some() {
             return;
         }
-        if self.batch_entry.n_records == 0 {
-            self.batch_entry = IndexEntry::empty(self.active().seg_bytes);
+        if self.batch.n_records() == 0 {
+            let offset = self.active().seg_bytes;
+            self.batch.restart(offset);
         }
         match self.active_version() {
             FormatVersion::V1 => rec.encode_into(&mut self.batch_payload),
             FormatVersion::V2 => self.encoder.encode_into(rec, &mut self.batch_payload),
         }
-        self.batch_entry.absorb(rec);
+        self.batch.absorb(rec);
         self.records_appended += 1;
-        if self.batch_entry.n_records as usize >= self.cfg.batch_records {
+        self.dirty = true;
+        if self.batch.n_records() as usize >= self.cfg.batch_records {
             // dasr-lint: allow(G2) reason="batch boundary: flush_batch allocates only on the cold write-error branch and at segment rolls, amortized over batch_records appends"
             self.flush_batch();
         }
@@ -282,13 +313,13 @@ impl WriterState {
     /// Frames and writes the open batch; seals the segment when it passes
     /// the size bound.
     fn flush_batch(&mut self) {
-        if self.error.is_some() || self.batch_entry.n_records == 0 {
+        if self.error.is_some() || self.batch.n_records() == 0 {
             return;
         }
         self.frame_buf.clear();
         segment::append_batch(
             &mut self.frame_buf,
-            self.batch_entry.n_records,
+            self.batch.n_records(),
             &self.batch_payload,
         );
         if let Err(e) = self.file.write_all(&self.frame_buf) {
@@ -296,12 +327,11 @@ impl WriterState {
             return;
         }
         let frame_len = self.frame_buf.len() as u64;
-        let entry = self.batch_entry;
-        let active = self.active();
+        let active = self.indices.last_mut().expect("active segment index");
         active.seg_bytes += frame_len;
-        active.entries.push(entry);
+        active.push(&self.batch);
         self.batch_payload.clear();
-        self.batch_entry = IndexEntry::empty(0);
+        self.batch.restart(0);
         self.encoder.reset();
         if self.active().seg_bytes >= self.cfg.segment_max_bytes {
             self.seal_and_roll();
@@ -346,9 +376,23 @@ impl WriterState {
         std::fs::write(path, active.to_bytes())
     }
 
-    /// Explicit flush: write the open batch, push it to the OS, refresh
-    /// the active sidecar.
+    /// Shutdown: flush, then leave the active segment's sidecar on disk
+    /// so a clean reopen finds every sidecar current.
+    fn finish(&mut self) {
+        self.flush_all();
+        if self.error.is_none() {
+            if let Err(e) = self.write_sidecar() {
+                self.error = Some(format!("sidecar write failed: {e}"));
+            }
+        }
+    }
+
+    /// Explicit flush: write the open batch and push it to the OS — or
+    /// nothing at all when no record arrived since the last flush.
     fn flush_all(&mut self) {
+        if !self.dirty {
+            return;
+        }
         self.flush_batch();
         if self.error.is_some() {
             return;
@@ -357,19 +401,23 @@ impl WriterState {
             self.error = Some(format!("flush failed: {e}"));
             return;
         }
-        if let Err(e) = self.write_sidecar() {
-            self.error = Some(format!("sidecar write failed: {e}"));
-        }
+        self.dirty = false;
+        self.snapshot = None;
     }
 
-    fn reply(&self) -> Result<WriterSnapshot, String> {
-        match &self.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(WriterSnapshot {
+    /// The post-flush snapshot, shared until the next append dirties
+    /// the state.
+    fn reply(&mut self) -> Result<Arc<WriterSnapshot>, String> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        let snapshot = self.snapshot.get_or_insert_with(|| {
+            Arc::new(WriterSnapshot {
                 indices: self.indices.clone(),
                 records_appended: self.records_appended,
-            }),
-        }
+            })
+        });
+        Ok(Arc::clone(snapshot))
     }
 }
 
@@ -419,7 +467,7 @@ mod tests {
         for i in 0..7 {
             writer.append(rec(i)).expect("append");
         }
-        let snap = writer.flush().expect("flush");
+        let snap = writer.snapshot().expect("flush");
         assert_eq!(snap.records_appended, 7);
         let entries = &snap.indices[0].entries;
         // 3 + 3 from the bound, 1 from the explicit flush.
@@ -432,6 +480,34 @@ mod tests {
         assert_eq!(scan.batches.len(), 3);
         assert!(scan.torn.is_none());
         drop(writer);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn clean_flushes_write_nothing_and_share_the_snapshot() {
+        let dir = fresh_dir("clean");
+        let cfg = WriterConfig::default();
+        let mut writer =
+            StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir, cfg.format)).expect("spawn");
+        let segment = dir.join(segment::file_name(0));
+        writer.append(rec(1)).expect("append");
+        let first = writer.snapshot().expect("flush");
+        let len = std::fs::metadata(&segment).expect("segment").len();
+        // Nothing appended since: no write, the same snapshot.
+        writer.flush().expect("clean flush");
+        let second = writer.snapshot().expect("clean flush");
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(std::fs::metadata(&segment).expect("segment").len(), len);
+        writer.append(rec(2)).expect("append");
+        let third = writer.snapshot().expect("dirty flush");
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!((second.records(), third.records()), (1, 2));
+        // The active sidecar is left for shutdown to write.
+        let sidecar = dir.join(SegmentIndex::file_name(0));
+        assert!(!sidecar.exists(), "a flush wrote the active sidecar");
+        let last = writer.shutdown().expect("shutdown").expect("snapshot");
+        let parsed = SegmentIndex::from_bytes(&std::fs::read(&sidecar).expect("sidecar"));
+        assert_eq!(&parsed.expect("parses"), &last.indices[0]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -11,6 +11,7 @@
 use dasr_core::obs::{EventKind, RunEvent};
 use dasr_store::codec::BatchEncoder;
 use dasr_store::crc::crc32;
+use dasr_store::index::{FireTally, SegmentIndex};
 use dasr_store::{segment, FormatVersion, RecordPayload, RunId, StoredRecord};
 
 fn spec_text() -> String {
@@ -19,7 +20,8 @@ fn spec_text() -> String {
 }
 
 /// Extracts the bytes of the `n`-th `hexdump` fenced block (1-based:
-/// block 1 is the §7 v1 walk, block 2 the §10 v2 walk).
+/// block 1 is the §7 v1 walk, block 2 the §10 v2 walk, block 3 the
+/// §10.1 index sidecar of that v2 segment).
 fn doc_bytes(text: &str, n: usize) -> Vec<u8> {
     let block = text
         .split("```hexdump")
@@ -133,6 +135,49 @@ fn v2_worked_example_decodes_to_the_documented_values() {
     assert_eq!(scan.batches[0].n_records, 2);
     let decoded = scan.batches[0].records().expect("records decode");
     assert_eq!(decoded, example_records());
+}
+
+/// The §10.1 sidecar is what the real indexer builds for the §10
+/// segment, byte for byte.
+#[test]
+fn sidecar_worked_example_matches_the_real_indexer() {
+    let text = spec_text();
+    let segment = doc_bytes(&text, 2);
+    let documented = doc_bytes(&text, 3);
+    assert_eq!(documented.len(), 127, "§10.1 says 127 bytes total");
+    let built = SegmentIndex::build_from_segment(&segment).expect("§10 segment indexes");
+    assert_eq!(documented, built.to_bytes(), "spec hex == indexer output");
+}
+
+#[test]
+fn sidecar_worked_example_decodes_to_the_documented_values() {
+    let bytes = doc_bytes(&spec_text(), 3);
+    let idx = SegmentIndex::from_bytes(&bytes).expect("spec sidecar parses");
+    assert_eq!(idx.segment_id, 0);
+    assert_eq!(idx.version, FormatVersion::V2);
+    assert_eq!(idx.seg_bytes, 42);
+    assert_eq!(idx.entries.len(), 1);
+    let e = &idx.entries[0];
+    assert_eq!((e.offset, e.n_records), (16, 2));
+    assert_eq!((e.min_interval, e.max_interval), (0, 1));
+    assert_eq!((e.min_run, e.max_run), (0, 0));
+    assert_eq!(e.tenant_filter.0, 1 << 47);
+    assert_eq!(e.kinds.0, 0b101);
+    assert_eq!(e.fires, FireTally([1, 1, 0, 0, 0, 0, 0, 0, 0]));
+    let rows: Vec<_> = idx
+        .rollup_rows(0)
+        .expect("rows")
+        .map(|r| r.map(|r| (r.run, r.interval, r.fires)))
+        .collect::<Result<_, _>>()
+        .expect("rows decode");
+    assert_eq!(
+        rows,
+        vec![
+            (0, 0, FireTally([1, 0, 0, 0, 0, 0, 0, 0, 0])),
+            (0, 1, FireTally([0, 1, 0, 0, 0, 0, 0, 0, 0])),
+        ]
+    );
+    assert_eq!(crc32(&bytes[0x20..0x7b]), 0x637A_4A96);
 }
 
 #[test]

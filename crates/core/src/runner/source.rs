@@ -17,10 +17,13 @@ use dasr_workloads::{Trace, TraceDriver, Workload};
 
 /// The engine-backed telemetry source and actuator.
 ///
-/// One instance drives one tenant's run: `observe_interval(m, ..)` submits
-/// minute `m`'s arrivals, advances simulated time to the end of the minute,
-/// drains the interval stats and returns them as a sample; the actuator
-/// half forwards the loop's commands straight to the engine.
+/// One instance drives one tenant's run: `observe_interval(m, ..)` streams
+/// minute `m`'s arrivals into the engine while advancing simulated time to
+/// the end of the minute, drains the interval stats and returns them as a
+/// sample; the actuator half forwards the loop's commands straight to the
+/// engine. Streaming is bit-identical to submitting the whole minute first
+/// (what `OracleLoop` still does), but only in-flight requests ever occupy
+/// the engine.
 pub struct SimulatorSource<W: Workload> {
     engine: Engine,
     driver: TraceDriver<W>,
@@ -71,9 +74,10 @@ impl<W: Workload> TelemetrySource for SimulatorSource<W> {
     }
 
     fn observe_interval(&mut self, interval: u64, goal: LatencyGoal) -> TelemetrySample {
-        self.driver
-            .submit_minute(interval as usize, &mut self.engine);
-        self.engine.run_until(SimTime::from_mins(interval + 1));
+        self.engine.run_with_arrivals(
+            SimTime::from_mins(interval + 1),
+            self.driver.arrivals(interval as usize),
+        );
         self.engine.end_interval_into(&mut self.stats);
         TelemetrySample::from_interval(interval, &self.stats, goal)
     }

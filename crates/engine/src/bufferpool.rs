@@ -149,8 +149,24 @@ impl PageMap {
         }
     }
 
+    /// Grows the table once so `n` keys fit under the 3/4 load bound —
+    /// the capacity repeated doubling from here would reach.
+    fn reserve(&mut self, n: usize) {
+        let mut cap = self.mask + 1;
+        while n * 4 > cap * 3 {
+            cap *= 2;
+        }
+        if cap > self.mask + 1 {
+            self.rehash(cap);
+        }
+    }
+
     fn grow(&mut self) {
-        let new_cap = (self.mask + 1) * 2;
+        self.rehash((self.mask + 1) * 2);
+    }
+
+    /// Moves every live key into a fresh table of `new_cap` slots.
+    fn rehash(&mut self, new_cap: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![NONE; new_cap]);
         self.mask = new_cap - 1;
@@ -239,6 +255,12 @@ impl BufferPool {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Sizes the page index for `pages` cached pages, so inserting up to
+    /// that many never rehashes it.
+    pub(crate) fn reserve(&mut self, pages: usize) {
+        self.map.reserve(pages);
     }
 
     /// Current capacity in pages.

@@ -1,10 +1,12 @@
 //! The database-server engine: event loop, request lifecycle, telemetry.
 //!
 //! [`Engine`] ties the devices together. The driver (the closed-loop runner
-//! in `dasr-core`) injects request arrivals with [`Engine::submit_at`],
-//! advances simulated time with [`Engine::run_until`], drains per-interval
-//! telemetry with [`Engine::end_interval`], and applies container resizes
-//! with [`Engine::apply_resources`] — an online operation, exactly as in the
+//! in `dasr-core`) streams a minute's open-loop arrivals into
+//! [`Engine::run_with_arrivals`] (or schedules single requests with
+//! [`Engine::submit_at`] and advances simulated time with
+//! [`Engine::run_until`]), drains per-interval telemetry with
+//! [`Engine::end_interval`], and applies container resizes with
+//! [`Engine::apply_resources`] — an online operation, exactly as in the
 //! paper (§6).
 //!
 //! ## Fast path
@@ -13,9 +15,18 @@
 //! 1440 intervals), so its core data structures are chosen for throughput:
 //!
 //! - request state lives in a [`GenSlab`] (one array access + generation
-//!   check per event) instead of `HashMap<ReqId, _>` tables;
-//! - the event queue is an [`EventWheel`]
-//!   (µs-granularity buckets + overflow heap) instead of a `BinaryHeap`,
+//!   check per event) instead of `HashMap<ReqId, _>` tables, and only
+//!   admitted requests live there;
+//! - arrivals are not events. Requests from `submit_at` wait in a sorted
+//!   arrival lane, and a caller's arrival stream is pulled one item at a
+//!   time; one merge loop (`Engine::run_merged`) compares the earliest
+//!   pending arrival with the event queue's head. Each arrival carries the
+//!   event `seq` at its submission as a barrier (a stream item: the `seq`
+//!   when the call began), so at its µs it runs after the events queued
+//!   before it and before the ones queued after — exactly where a queued
+//!   arrival event used to pop;
+//! - the event queue is an [`EventWheel`] (µs-granularity buckets linked
+//!   through one node slab + overflow heap) instead of a `BinaryHeap`,
 //!   preserving the `(time, seq)` total order exactly;
 //! - every dispatch path (CPU/disk/log pumps, lock-waiter resumption,
 //!   buffer-pool eviction, latency collection) writes into engine-owned
@@ -23,7 +34,8 @@
 //!
 //! Telemetry is **bit-identical** to the pre-fast-path implementation,
 //! which is preserved as [`OracleEngine`](crate::oracle::OracleEngine) and
-//! enforced by the property tests in `tests/engine_equivalence.rs`.
+//! enforced by the property tests in `tests/engine_equivalence.rs`; the
+//! same file pins streamed arrivals to `submit_at`-then-`run_until`.
 
 use crate::bufferpool::{Access, BufferPool};
 use crate::config::EngineConfig;
@@ -41,11 +53,11 @@ use crate::wheel::EventWheel;
 use dasr_containers::ResourceVector;
 use std::collections::VecDeque;
 
-/// Events in the simulation queue.
+/// Events in the simulation queue. Arrivals are not events: they wait in
+/// the engine's arrival lane (or in the caller's stream) and are merged
+/// with the queue by `Engine::run_merged`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// A request arrives (spec parked in the slab, inactive).
-    Arrival(ReqId),
     /// A CPU burst finishes.
     CpuDone {
         req: ReqId,
@@ -68,6 +80,19 @@ enum Ev {
     BalloonStep,
 }
 
+/// A submitted request waiting for its arrival time in the arrival lane.
+#[derive(Debug)]
+struct Pending {
+    /// Arrival time, µs.
+    at: u64,
+    /// The engine's event `seq` when the request was submitted. At the
+    /// arrival's µs, queued events with `seq <= barrier` run first and
+    /// every later event runs after — the order a queued arrival event
+    /// would have had.
+    barrier: u64,
+    spec: RequestSpec,
+}
+
 /// Per-request execution state.
 #[derive(Debug)]
 struct ReqState {
@@ -80,8 +105,6 @@ struct ReqState {
     pending_page: Option<(u64, bool)>,
     /// Memory grant held (MB), released at completion.
     granted_mb: u32,
-    /// False between `submit_at` and admission at arrival time.
-    active: bool,
 }
 
 /// Telemetry for one billing/monitoring interval, drained by
@@ -164,10 +187,12 @@ pub struct Engine {
     clock: SimTime,
     seq: u64,
     events: EventWheel<Ev>,
-    /// All known requests (pending and running); the slab key is the
-    /// `ReqId`. `running` counts admitted (active) entries.
+    /// Requests submitted with [`submit_at`](Self::submit_at) that have
+    /// not arrived yet, sorted by `(at, barrier)` (submission order within
+    /// a µs).
+    lane: VecDeque<Pending>,
+    /// Admitted (in-flight) requests; the slab key is the `ReqId`.
     requests: GenSlab<ReqState>,
-    running: usize,
     runnable: VecDeque<ReqId>,
 
     cpu: CpuScheduler,
@@ -222,8 +247,8 @@ impl Engine {
             clock: SimTime::ZERO,
             seq: 0,
             events: EventWheel::new(),
+            lane: VecDeque::new(),
             requests: GenSlab::new(),
-            running: 0,
             runnable: VecDeque::new(),
             balloon_target: None,
             waits: WaitStats::new(),
@@ -260,7 +285,7 @@ impl Engine {
 
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.running
+        self.requests.len()
     }
 
     /// Buffer-pool pages in use, as MB of container memory.
@@ -280,6 +305,9 @@ impl Engine {
     /// experiments resize a live tenant rather than cold-start one.
     pub fn prewarm(&mut self, pages: u64) {
         let n = (pages as usize).min(self.pool.capacity());
+        // Size the page index once instead of doubling through every
+        // power of two on the way to `n`.
+        self.pool.reserve(n);
         let mut scratch = std::mem::take(&mut self.evict_scratch);
         for page in 0..n as u64 {
             self.pool.insert(page, false, &mut scratch);
@@ -287,42 +315,46 @@ impl Engine {
         self.evict_scratch = scratch;
     }
 
-    /// Schedules `spec` to arrive at `at`.
+    /// Schedules `spec` to arrive at `at`. Submissions may come in any
+    /// time order; at equal times they arrive in submission order.
     ///
     /// # Panics
     /// Panics if `at` is in the simulated past.
     // dasr-lint: no-alloc
     pub fn submit_at(&mut self, at: SimTime, spec: RequestSpec) {
         assert!(at >= self.clock, "arrival scheduled in the past");
-        let id = self.requests.insert(ReqState {
+        self.enqueue(Pending {
+            at: at.as_micros(),
+            barrier: self.seq,
             spec,
-            op: 0,
-            arrived: SimTime::ZERO,
-            cpu_service_us: 0,
-            waits: WaitStats::new(),
-            pending_page: None,
-            granted_mb: 0,
-            active: false,
         });
-        self.push_event(at, Ev::Arrival(id));
     }
 
-    /// Processes every event with timestamp ≤ `t`, then advances the clock
-    /// to `t`.
+    /// Processes every event and submitted arrival with timestamp ≤ `t`,
+    /// then advances the clock to `t`.
     // dasr-lint: no-alloc
     // dasr-lint: entry(G3)
     pub fn run_until(&mut self, t: SimTime) {
-        let horizon = t.as_micros();
-        while let Some((et, _, ev)) = self.events.pop_due(horizon) {
-            let et = SimTime::from_micros(et);
-            debug_assert!(et >= self.clock, "time went backwards");
-            self.clock = et;
-            self.dispatch(ev);
-            self.drain_runnable();
-        }
-        if t > self.clock {
-            self.clock = t;
-        }
+        self.run_merged(t, std::iter::empty());
+    }
+
+    /// [`run_until`](Self::run_until) with an open-loop arrival stream:
+    /// bit-identical to [`submit_at`](Self::submit_at)-ing every item of
+    /// `arrivals` first and then calling `run_until(t)`, but each item is
+    /// pulled only when it comes due, so a minute of arrivals never waits
+    /// in the engine. Items past `t` are pulled too and wait in the
+    /// arrival lane for a later call.
+    ///
+    /// # Panics
+    /// Panics if an item lies in the simulated past or before the item
+    /// pulled ahead of it (the stream must be sorted by time).
+    // dasr-lint: no-alloc
+    // dasr-lint: entry(G3)
+    pub fn run_with_arrivals<I>(&mut self, t: SimTime, arrivals: I)
+    where
+        I: IntoIterator<Item = (SimTime, RequestSpec)>,
+    {
+        self.run_merged(t, arrivals.into_iter());
     }
 
     /// Applies a container resize — an online operation: CPU and I/O
@@ -441,7 +473,7 @@ impl Engine {
         out.rejected = std::mem::take(&mut self.rejected);
         out.disk_reads = std::mem::take(&mut self.disk_reads);
         out.disk_writes = std::mem::take(&mut self.disk_writes);
-        out.outstanding = self.running;
+        out.outstanding = self.requests.len();
     }
 
     // ------------------------------------------------------------------
@@ -452,6 +484,94 @@ impl Engine {
     fn push_event(&mut self, at: SimTime, ev: Ev) {
         self.seq += 1;
         self.events.push(at.as_micros(), self.seq, ev);
+    }
+
+    /// Files `p` into the arrival lane after every entry at or before its
+    /// time; in-order submissions (the common case) append.
+    // dasr-lint: no-alloc
+    fn enqueue(&mut self, p: Pending) {
+        if self.lane.back().is_none_or(|last| last.at <= p.at) {
+            self.lane.push_back(p);
+        } else {
+            let i = self.lane.partition_point(|q| q.at <= p.at);
+            self.lane.insert(i, p);
+        }
+    }
+
+    /// The event loop: merges the event queue, the arrival lane and
+    /// `stream` in `(time, seq)` order up to `t`, then advances the clock
+    /// to `t`.
+    ///
+    /// Every stream item takes the call-start `seq` as its barrier, which
+    /// is the key `submit_at` would have given it had it been submitted
+    /// when the call began: at its µs it follows every event queued before
+    /// the call and precedes every event pushed during it, and it follows
+    /// lane entries of the same µs (submitted earlier still). Lane entries
+    /// and stream items are each already in arrival order, so the earliest
+    /// pending arrival is the earlier of the two heads.
+    // dasr-lint: no-alloc
+    fn run_merged<I>(&mut self, t: SimTime, mut stream: I)
+    where
+        I: Iterator<Item = (SimTime, RequestSpec)>,
+    {
+        let horizon = t.as_micros();
+        let barrier = self.seq;
+        let mut next = Self::pull(&mut stream, self.clock.as_micros());
+        loop {
+            let lane_head = self.lane.front().map(|p| (p.at, p.barrier));
+            let (arrival, from_lane) = match (lane_head, &next) {
+                (Some(l), Some((at, _))) if l.0 <= *at => (Some(l), true),
+                (_, Some((at, _))) => (Some((*at, barrier)), false),
+                (l, None) => (l, true),
+            };
+            let due = arrival.filter(|&(at, _)| at <= horizon);
+            let (bound_t, bound_seq) = due.unwrap_or((horizon, u64::MAX));
+            if let Some((et, _, ev)) = self.events.pop_through(bound_t, bound_seq) {
+                debug_assert!(et >= self.clock.as_micros(), "time went backwards");
+                self.clock = SimTime::from_micros(et);
+                self.dispatch(ev);
+                self.drain_runnable();
+                continue;
+            }
+            let Some((at, _)) = due else {
+                break;
+            };
+            let spec = if from_lane {
+                self.lane.pop_front().map(|p| p.spec)
+            } else {
+                let item = next.take().map(|(_, spec)| spec);
+                next = Self::pull(&mut stream, at);
+                item
+            };
+            self.clock = SimTime::from_micros(at);
+            if let Some(spec) = spec {
+                self.admit(spec);
+            }
+            self.drain_runnable();
+        }
+        // Arrivals past the horizon wait in the lane for a later call.
+        while let Some((at, spec)) = next {
+            self.enqueue(Pending { at, barrier, spec });
+            next = Self::pull(&mut stream, at);
+        }
+        if t > self.clock {
+            self.clock = t;
+        }
+    }
+
+    /// Pulls the next stream item as `(µs, spec)`, checking that it is not
+    /// before `floor`: the clock for the first item, the previous item's
+    /// time after that (which is the clock when the previous item was
+    /// admitted).
+    // dasr-lint: no-alloc
+    fn pull<I>(stream: &mut I, floor: u64) -> Option<(u64, RequestSpec)>
+    where
+        I: Iterator<Item = (SimTime, RequestSpec)>,
+    {
+        let (at, spec) = stream.next()?;
+        let at = at.as_micros();
+        assert!(at >= floor, "arrival scheduled in the past or out of order");
+        Some((at, spec))
     }
 
     /// Schedules completions for dispatched CPU bursts plus the optional
@@ -551,7 +671,6 @@ impl Engine {
     // dasr-lint: no-alloc
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrival(id) => self.on_arrival(id),
             Ev::CpuDone {
                 req,
                 work_us,
@@ -624,20 +743,24 @@ impl Engine {
         }
     }
 
+    /// A request arrives at the current clock: admission control, then
+    /// it becomes runnable.
     // dasr-lint: no-alloc
-    fn on_arrival(&mut self, id: ReqId) {
-        if self.running >= self.cfg.max_outstanding {
+    fn admit(&mut self, spec: RequestSpec) {
+        if self.requests.len() >= self.cfg.max_outstanding {
             self.rejected += 1;
-            // dasr-lint: allow(G3) reason="admission invariant: every arrival event carries a slab key inserted at submit; a stale key must abort, not be masked"
-            self.requests.remove(id).expect("arrival without spec");
             return;
         }
         self.arrivals += 1;
-        let now = self.clock;
-        let state = self.requests.get_mut(id).expect("arrival without spec");
-        state.active = true;
-        state.arrived = now;
-        self.running += 1;
+        let id = self.requests.insert(ReqState {
+            spec,
+            op: 0,
+            arrived: self.clock,
+            cpu_service_us: 0,
+            waits: WaitStats::new(),
+            pending_page: None,
+            granted_mb: 0,
+        });
         self.runnable.push_back(id);
     }
 
@@ -780,7 +903,6 @@ impl Engine {
             .remove(req)
             // dasr-lint: allow(G3) reason="completion invariant: a request completes exactly once; a double-complete must abort the simulation"
             .expect("completing unknown request");
-        self.running -= 1;
         // Strict 2PL: release everything still held.
         self.locks
             .release_all(req, self.clock, &mut self.lock_scratch);

@@ -49,13 +49,18 @@ pub struct GrantedWaiter {
 /// reuses its buffers instead of re-allocating, which matters on the
 /// engine's lock-heavy hot path. [`active_locks`](Self::active_locks)
 /// counts only non-empty states.
+///
+/// `held` is keyed by request id, and ids never repeat (slab keys carry a
+/// generation), so a request's entry is removed when it releases
+/// everything and its buffer goes to `spare` for the next request that
+/// takes a lock. The map thus holds only requests that hold or were
+/// granted a lock and have not completed.
 #[derive(Debug, Default)]
 pub struct LockTable {
     locks: HashMap<LockId, LockState>,
     held: HashMap<ReqId, Vec<LockId>>,
-    /// Reused buffer for the lock list drained in
-    /// [`release_all`](Self::release_all).
-    drain_scratch: Vec<LockId>,
+    /// Empty lock lists of completed requests, reused by the next ones.
+    spare: Vec<Vec<LockId>>,
 }
 
 impl LockTable {
@@ -78,7 +83,7 @@ impl LockTable {
         }
         if state.waiters.is_empty() && state.compatible(exclusive) {
             state.holders.push((req, exclusive));
-            self.held.entry(req).or_default().push(lock);
+            Self::record_hold(&mut self.held, &mut self.spare, req, lock);
             true
         } else {
             state.waiters.push_back((req, exclusive, now));
@@ -106,7 +111,7 @@ impl LockTable {
             }
             Self::grant_from_queue(state, now, out);
             for g in out.iter() {
-                self.held.entry(g.req).or_default().push(lock);
+                Self::record_hold(&mut self.held, &mut self.spare, g.req, lock);
             }
         }
     }
@@ -116,25 +121,36 @@ impl LockTable {
     // dasr-lint: no-alloc
     pub fn release_all(&mut self, req: ReqId, now: SimTime, out: &mut Vec<GrantedWaiter>) {
         out.clear();
-        // Drain the held list through a reused scratch so the entry keeps
-        // its capacity for the next request reusing this `ReqId` slot.
-        self.drain_scratch.clear();
-        if let Some(list) = self.held.get_mut(&req) {
-            self.drain_scratch.append(list);
-        }
-        for i in 0..self.drain_scratch.len() {
-            // dasr-lint: allow(G3) reason="index bounded by the same len() in the loop condition"
-            let lock = self.drain_scratch[i];
+        // The request is done: its entry leaves the map, and the emptied
+        // list keeps its capacity on the spare stack.
+        let Some(mut list) = self.held.remove(&req) else {
+            return;
+        };
+        for lock in list.drain(..) {
             let start = out.len();
             if let Some(state) = self.locks.get_mut(&lock) {
                 state.holders.retain(|&(r, _)| r != req);
                 Self::grant_from_queue(state, now, out);
             }
-            for j in start..out.len() {
-                let g = out[j];
-                self.held.entry(g.req).or_default().push(lock);
+            for g in out.iter().skip(start) {
+                Self::record_hold(&mut self.held, &mut self.spare, g.req, lock);
             }
         }
+        self.spare.push(list);
+    }
+
+    /// Appends `lock` to `req`'s lock list, taking a spare list for a
+    /// request's first lock.
+    // dasr-lint: no-alloc
+    fn record_hold(
+        held: &mut HashMap<ReqId, Vec<LockId>>,
+        spare: &mut Vec<Vec<LockId>>,
+        req: ReqId,
+        lock: LockId,
+    ) {
+        held.entry(req)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(lock);
     }
 
     /// Removes `req` from every wait queue (request abort/rejection).
@@ -292,6 +308,31 @@ mod tests {
         t.release_all(1, SimTime(100), &mut granted);
         assert!(granted.is_empty());
         assert_eq!(t.active_locks(), 0, "empty lock states are not counted");
+    }
+
+    #[test]
+    fn completed_requests_leave_no_lock_list() {
+        let mut t = LockTable::new();
+        let mut granted = Vec::new();
+        // Each round: `a` takes two locks, `b` and `c` queue behind it and
+        // are granted when `a` completes, then complete themselves. Ids
+        // never repeat, as with the engine's generational slab keys.
+        for round in 0..500u64 {
+            let (a, b, c) = (3 * round, 3 * round + 1, 3 * round + 2);
+            let lock = (round % 3) as LockId;
+            let now = SimTime(round);
+            assert!(t.acquire(a, lock, true, now));
+            assert!(t.acquire(a, 9, false, now));
+            assert!(!t.acquire(b, lock, false, now));
+            assert!(!t.acquire(c, lock, false, now));
+            t.release_all(a, now, &mut granted);
+            assert_eq!(granted.len(), 2, "both shared waiters granted");
+            t.release_all(b, now, &mut granted);
+            t.release_all(c, now, &mut granted);
+        }
+        assert!(t.held.is_empty(), "completed requests leave no entry");
+        assert_eq!(t.active_locks(), 0);
+        assert!(t.spare.len() <= 3, "lock lists are recycled, not hoarded");
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //!   is sequence order, so FIFO pop preserves the `(time, seq)` total
 //!   order. An occupancy bitmap (64 words) finds the next non-empty bucket
 //!   with a handful of `trailing_zeros` scans.
+//! - **Buckets are intrusive FIFO lists over one node slab.** Each bucket
+//!   is a `head`/`tail` pair of node indices; a node carries its event and
+//!   the index of the next node in its bucket. Popped nodes go onto a free
+//!   list threaded through the same `next` field, so a whole engine's
+//!   buckets share one allocation that stops growing once it reaches the
+//!   peak number of near events, instead of one heap buffer per bucket.
 //! - **Far events** overflow into a small `BinaryHeap` ordered by
 //!   `(time, seq)`. Whenever the window advances (`base` moves up to the
 //!   time of the event just popped, or to the overflow minimum when the
@@ -36,14 +42,18 @@
 //! 3. `base` only advances to timestamps that have already been reached by
 //!    the popped-event clock, so a later push (which the engine issues at
 //!    its current clock or after) is never below `base`.
+//! 4. Every node is either linked into exactly one bucket or on the free
+//!    list, never both.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Width of the near window, in microseconds (= number of buckets).
 const SPAN: usize = 4096;
 /// Occupancy bitmap words (`SPAN / 64`).
 const WORDS: usize = SPAN / 64;
+/// End-of-list marker for bucket and free-list links.
+const NIL: u32 = u32::MAX;
 
 /// Mutation count below which `strict-invariants` checks run every time
 /// (unit tests); past it they sample every [`CHECK_EVERY`]th mutation so
@@ -53,16 +63,34 @@ const CHECK_ALWAYS: u64 = 64;
 #[cfg(feature = "strict-invariants")]
 const CHECK_EVERY: u64 = 1024;
 
+/// One slab node: a bucketed event plus the link to the next node of its
+/// bucket (or of the free list, while the node is free).
+#[derive(Debug, Clone, Copy)]
+struct Node<E> {
+    time: u64,
+    seq: u64,
+    ev: E,
+    next: u32,
+}
+
 /// A monotone event queue ordered by `(time, seq)`.
 ///
-/// `seq` values must be unique per queue (the engine's global event
-/// counter); times pushed after a pop must be `>=` that pop's time.
+/// `seq` values must strictly increase from push to push (the engine's
+/// global event counter); times pushed after a pop must be `>=` that pop's
+/// time.
 #[derive(Debug)]
 pub struct EventWheel<E> {
     /// Window start: no event below this time remains in the wheel.
     base: u64,
-    /// `SPAN` µs-granularity buckets; `slot = time % SPAN`.
-    buckets: Vec<VecDeque<(u64, u64, E)>>,
+    /// Node slab shared by every bucket; grows only past its high-water
+    /// mark of simultaneously bucketed events.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list (`NIL` when empty).
+    free: u32,
+    /// First node of each bucket, `slot = time % SPAN` (`NIL` = empty).
+    head: [u32; SPAN],
+    /// Last node of each bucket, where pushes append.
+    tail: [u32; SPAN],
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Events currently held in buckets.
@@ -71,6 +99,9 @@ pub struct EventWheel<E> {
     overflow: BinaryHeap<Reverse<(u64, u64, E)>>,
     #[cfg(feature = "strict-invariants")]
     check_tick: u64,
+    /// Reused node marks for the free-list disjointness check.
+    #[cfg(feature = "strict-invariants")]
+    check_scratch: Vec<bool>,
 }
 
 impl<E: Copy + Ord> EventWheel<E> {
@@ -78,12 +109,17 @@ impl<E: Copy + Ord> EventWheel<E> {
     pub fn new() -> Self {
         Self {
             base: 0,
-            buckets: (0..SPAN).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            head: [NIL; SPAN],
+            tail: [NIL; SPAN],
             occupied: [0; WORDS],
             bucket_len: 0,
             overflow: BinaryHeap::new(),
             #[cfg(feature = "strict-invariants")]
             check_tick: 0,
+            #[cfg(feature = "strict-invariants")]
+            check_scratch: Vec::new(),
         }
     }
 
@@ -97,20 +133,22 @@ impl<E: Copy + Ord> EventWheel<E> {
         self.len() == 0
     }
 
+    /// Nodes in the bucket slab, live and free: the high-water mark of
+    /// simultaneously bucketed events. Popped nodes are reused, so this
+    /// stays bounded however many events pass through the wheel.
+    pub fn slab_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Queues `ev` at `(time, seq)`.
     ///
-    /// `time` must be `>=` the time of the most recent [`pop_due`]
-    /// result (debug-asserted via the window base).
-    ///
-    /// [`pop_due`]: Self::pop_due
+    /// `time` must be `>=` the time of the most recent pop (debug-asserted
+    /// via the window base).
     // dasr-lint: no-alloc
     pub fn push(&mut self, time: u64, seq: u64, ev: E) {
         debug_assert!(time >= self.base, "push below the wheel window");
         if time < self.base + SPAN as u64 {
-            let slot = (time % SPAN as u64) as usize;
-            self.buckets[slot].push_back((time, seq, ev));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.bucket_len += 1;
+            self.link(time, seq, ev);
         } else {
             self.overflow.push(Reverse((time, seq, ev)));
         }
@@ -121,9 +159,19 @@ impl<E: Copy + Ord> EventWheel<E> {
     /// `None` when the wheel is empty or the next event is after `t`.
     // dasr-lint: no-alloc
     pub fn pop_due(&mut self, t: u64) -> Option<(u64, u64, E)> {
+        self.pop_through(t, u64::MAX)
+    }
+
+    /// Pops the `(time, seq)`-minimal event if its key is `<= (t, seq)`
+    /// lexicographically; `None` when the wheel is empty or the next event
+    /// is later. The engine bounds pops by the next pending arrival this
+    /// way: an event at the arrival's µs runs first only if it was queued
+    /// before the arrival was submitted.
+    // dasr-lint: no-alloc
+    pub fn pop_through(&mut self, t: u64, seq: u64) -> Option<(u64, u64, E)> {
         if self.bucket_len == 0 {
-            let &Reverse((ot, _, _)) = self.overflow.peek()?;
-            if ot > t {
+            let &Reverse((ot, os, _)) = self.overflow.peek()?;
+            if (ot, os) > (t, seq) {
                 return None;
             }
             // Jump the window to the overflow minimum; the drain below
@@ -134,22 +182,57 @@ impl<E: Copy + Ord> EventWheel<E> {
             .first_occupied()
             // dasr-lint: allow(G3) reason="wheel invariant: non-zero bucket_len implies an occupied slot; the expect restates it"
             .expect("non-zero bucket_len implies an occupied slot");
-        let &(time, seq, ev) = self.buckets[slot]
-            .front()
-            .expect("occupancy bit set on empty bucket");
-        if time > t {
+        let n = self.head[slot];
+        let node = self.nodes[n as usize];
+        if (node.time, node.seq) > (t, seq) {
             return None;
         }
-        self.buckets[slot].pop_front();
-        self.bucket_len -= 1;
-        if self.buckets[slot].is_empty() {
+        self.head[slot] = node.next;
+        if node.next == NIL {
+            self.tail[slot] = NIL;
             self.occupied[slot / 64] &= !(1 << (slot % 64));
         }
-        if time > self.base {
-            self.rebase(time);
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+        self.bucket_len -= 1;
+        if node.time > self.base {
+            self.rebase(node.time);
         }
         self.debug_check();
-        Some((time, seq, ev))
+        Some((node.time, node.seq, node.ev))
+    }
+
+    /// Appends `(time, seq, ev)` to its bucket, reusing a free node when
+    /// one exists. `time` must lie inside the window.
+    // dasr-lint: no-alloc
+    fn link(&mut self, time: u64, seq: u64, ev: E) {
+        let slot = (time % SPAN as u64) as usize;
+        let node = Node {
+            time,
+            seq,
+            ev,
+            next: NIL,
+        };
+        let n = if self.free == NIL {
+            debug_assert!(self.nodes.len() < NIL as usize, "node slab overflow");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            // dasr-lint: allow(G3) reason="free-list invariant: every link on the free list is a slab index (checked by strict-invariants)"
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        let last = self.tail[slot];
+        if last == NIL {
+            self.head[slot] = n;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        } else {
+            self.nodes[last as usize].next = n;
+        }
+        self.tail[slot] = n;
+        self.bucket_len += 1;
     }
 
     /// Advances the window start to `new_base` and drains newly-due
@@ -166,10 +249,7 @@ impl<E: Copy + Ord> EventWheel<E> {
             }
             // dasr-lint: allow(G3) reason="pop follows a successful peek on the same heap in the same iteration"
             let Reverse((time, seq, ev)) = self.overflow.pop().expect("peeked");
-            let slot = (time % SPAN as u64) as usize;
-            self.buckets[slot].push_back((time, seq, ev));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.bucket_len += 1;
+            self.link(time, seq, ev);
         }
     }
 
@@ -201,10 +281,14 @@ impl<E: Copy + Ord> EventWheel<E> {
     }
 
     /// Structural self-check (`strict-invariants` builds only): the window
-    /// invariants from the module docs, plus bitmap/bucket agreement. A
-    /// violation here means `pop_due` could skip or misorder an event.
-    /// Sampled past the first [`CHECK_ALWAYS`] mutations to keep large
-    /// simulations tractable.
+    /// invariants from the module docs, bitmap/bucket agreement, and the
+    /// slab's bookkeeping — the nodes reachable from the buckets number
+    /// `bucket_len`, each bucket holds one in-window timestamp in seq
+    /// order, and the free list is disjoint from the live nodes and
+    /// accounts for every other node. A violation here means `pop_due`
+    /// could skip or misorder an event, or a node could be handed out
+    /// twice. Sampled past the first [`CHECK_ALWAYS`] mutations to keep
+    /// large simulations tractable.
     fn debug_check(&mut self) {
         #[cfg(feature = "strict-invariants")]
         {
@@ -213,33 +297,80 @@ impl<E: Copy + Ord> EventWheel<E> {
                 return;
             }
             let limit = self.base + SPAN as u64;
+            let mut marks = std::mem::take(&mut self.check_scratch);
+            marks.clear();
+            marks.resize(self.nodes.len(), false);
             let mut total = 0;
-            for (slot, bucket) in self.buckets.iter().enumerate() {
+            for slot in 0..SPAN {
                 // dasr-lint: allow(G3) reason="strict-invariants self-check: slot enumerates the fixed bucket array; failure is a deliberate abort"
                 let bit = (self.occupied[slot / 64] >> (slot % 64)) & 1 == 1;
                 debug_assert_eq!(
                     bit,
-                    !bucket.is_empty(),
+                    self.head[slot] != NIL,
                     "occupancy bit for slot {slot} disagrees with its bucket"
                 );
-                total += bucket.len();
-                for &(time, _, _) in bucket {
+                debug_assert_eq!(
+                    self.head[slot] == NIL,
+                    self.tail[slot] == NIL,
+                    "bucket {slot} has a head without a tail or vice versa"
+                );
+                let mut n = self.head[slot];
+                let mut last = NIL;
+                let mut first: Option<(u64, u64)> = None;
+                while n != NIL {
                     debug_assert!(
-                        self.base <= time && time < limit,
-                        "bucketed time {time} outside window [{}, {limit})",
+                        (n as usize) < marks.len() && !marks[n as usize],
+                        "bucket {slot} links node {n} twice or out of the slab"
+                    );
+                    marks[n as usize] = true;
+                    let node = self.nodes[n as usize];
+                    debug_assert!(
+                        self.base <= node.time && node.time < limit,
+                        "bucketed time {} outside window [{}, {limit})",
+                        node.time,
                         self.base
                     );
                     debug_assert_eq!(
-                        (time % SPAN as u64) as usize,
+                        (node.time % SPAN as u64) as usize,
                         slot,
-                        "time {time} filed in the wrong bucket"
+                        "time {} filed in the wrong bucket",
+                        node.time
                     );
+                    if let Some((t0, prev_seq)) = first {
+                        debug_assert_eq!(node.time, t0, "bucket {slot} mixes timestamps");
+                        debug_assert!(node.seq > prev_seq, "bucket {slot} out of seq order");
+                    }
+                    first = Some((node.time, node.seq));
+                    total += 1;
+                    last = n;
+                    n = node.next;
                 }
+                debug_assert_eq!(
+                    self.tail[slot], last,
+                    "tail of bucket {slot} is not its last node"
+                );
             }
             debug_assert_eq!(
                 total, self.bucket_len,
-                "bucket_len must match the sum of bucket lengths"
+                "bucket_len must match the nodes linked into buckets"
             );
+            let mut free = 0;
+            let mut n = self.free;
+            while n != NIL {
+                debug_assert!(
+                    (n as usize) < marks.len() && !marks[n as usize],
+                    "free list reaches live or repeated node {n}"
+                );
+                marks[n as usize] = true;
+                free += 1;
+                n = self.nodes[n as usize].next;
+            }
+            debug_assert_eq!(
+                total + free,
+                self.nodes.len(),
+                "every slab node must be live or free"
+            );
+            self.check_scratch = marks;
             for &Reverse((time, _, _)) in self.overflow.iter() {
                 debug_assert!(time >= limit, "overflow time {time} is due but not drained");
             }
@@ -287,6 +418,20 @@ mod tests {
         assert_eq!(w.pop_due(10), Some((10, 1, 0)));
         assert_eq!(w.pop_due(10), None, "50 is not due yet");
         assert_eq!(w.pop_due(50), Some((50, 2, 0)));
+    }
+
+    #[test]
+    fn pop_through_bounds_by_seq_at_the_bound_time() {
+        let mut w = EventWheel::new();
+        w.push(10, 1, 0u8);
+        w.push(10, 5, 0);
+        w.push(2_000_000, 6, 0); // overflow, bounded the same way
+        assert_eq!(w.pop_through(10, 0), None, "seq 1 is after the bound");
+        assert_eq!(w.pop_through(10, 1), Some((10, 1, 0)));
+        assert_eq!(w.pop_through(10, 4), None, "seq 5 is after the bound");
+        assert_eq!(w.pop_through(11, 0), Some((10, 5, 0)));
+        assert_eq!(w.pop_through(2_000_000, 5), None);
+        assert_eq!(w.pop_through(2_000_000, 6), Some((2_000_000, 6, 0)));
     }
 
     #[test]
@@ -339,6 +484,20 @@ mod tests {
         assert_eq!(w.pop_due(u64::MAX), Some((7 + SPAN as u64, 2, 0)));
     }
 
+    #[test]
+    fn popped_nodes_are_reused() {
+        let mut w = EventWheel::new();
+        let mut seq = 0;
+        for round in 0..100u64 {
+            for k in 0..8 {
+                seq += 1;
+                w.push(round * 10 + k, seq, 0u8);
+            }
+            assert_eq!(drain(&mut w, round * 10 + 7).len(), 8);
+        }
+        assert_eq!(w.slab_nodes(), 8, "the slab never outgrows its peak");
+    }
+
     /// Proves the `strict-invariants` wiring is live: a stray occupancy
     /// bit must trip the structural check on the next mutation.
     #[test]
@@ -348,6 +507,21 @@ mod tests {
         let mut w = EventWheel::new();
         w.occupied[3] |= 1; // bit set, bucket 192 empty
         w.push(1, 1, 0u8);
+    }
+
+    /// A free list that reaches a live node would hand it out twice; the
+    /// structural check must refuse it.
+    #[test]
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "free list reaches live")]
+    fn strict_invariants_catch_free_list_overlap() {
+        let mut w = EventWheel::new();
+        w.push(1, 1, 0u8);
+        w.push(2, 2, 0);
+        assert_eq!(w.pop_due(1), Some((1, 1, 0)));
+        // Node 0 is free; point its link at live node 1.
+        w.nodes[0].next = 1;
+        w.push(3, 3, 0);
     }
 
     #[test]

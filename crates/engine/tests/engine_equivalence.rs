@@ -8,6 +8,10 @@
 //! percentages, counters. Randomized request mixes run through both
 //! engines at several container sizes, across multiple interval
 //! boundaries, and under mid-run resizes and balloon operations.
+//!
+//! A second family pins the engine's streamed arrivals
+//! ([`Engine::run_with_arrivals`]) to its batch path (`submit_at` every
+//! arrival, then `run_until`), which the first family pins to the oracle.
 
 use dasr_containers::ResourceVector;
 use dasr_engine::oracle::OracleEngine;
@@ -30,7 +34,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// (locks in increasing id order, grants before locks) — same generator as
 /// `tests/invariants.rs`.
 fn arb_spec() -> impl Strategy<Value = RequestSpec> {
-    prop::collection::vec(arb_op(), 1..10).prop_map(|mut ops| {
+    arb_spec_of(arb_op())
+}
+
+/// [`arb_spec`] over an arbitrary op strategy.
+fn arb_spec_of(op: impl Strategy<Value = Op>) -> impl Strategy<Value = RequestSpec> {
+    prop::collection::vec(op, 1..10).prop_map(|mut ops| {
         let mut lock_ids: Vec<u32> = ops
             .iter()
             .filter_map(|op| match op {
@@ -189,5 +198,136 @@ proptest! {
         oracle.run_until(SimTime::from_secs(600));
         let s = assert_intervals_equal(&mut fast, &mut oracle);
         prop_assert_eq!(s.outstanding, 0);
+    }
+}
+
+/// Arrival and op-duration grid, µs. The device base latencies (disk 500,
+/// log 300) are multiples of it too, so completions, wake-ups and arrivals
+/// keep landing on the same µs — the ties the streamed merge must order
+/// exactly as queued arrival events would have been ordered.
+const GRID: u64 = 100;
+/// Length of one streamed call's window, µs.
+const WINDOW: u64 = 80 * GRID;
+
+fn arb_grid_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (1u64..40).prop_map(|k| Op::CpuBurst { us: k * GRID }),
+        (0u64..600, any::<bool>()).prop_map(|(page, write)| Op::PageAccess { page, write }),
+        (1u32..4_096).prop_map(|bytes| Op::LogWrite { bytes }),
+        (0u32..3, any::<bool>()).prop_map(|(lock, exclusive)| Op::LockAcquire { lock, exclusive }),
+        (1u32..16).prop_map(|mb| Op::MemoryGrant { mb }),
+        (1u64..20).prop_map(|k| Op::Think { us: k * GRID }),
+    ]
+}
+
+/// One streamed call: the stream (grid gaps from the window start, 0 =
+/// same-µs run; the tail may run past the window), `submit_at`s issued
+/// before the call in random time order, and what the controller does
+/// after the call.
+#[derive(Debug, Clone)]
+struct Call {
+    stream: Vec<(u64, RequestSpec)>,
+    submits: Vec<(u64, RequestSpec)>,
+    action: u8,
+}
+
+fn arb_call() -> impl Strategy<Value = Call> {
+    let spec = || arb_spec_of(arb_grid_op());
+    (
+        prop::collection::vec((0u64..5, spec()), 0..30),
+        prop::collection::vec((0u64..160, spec()), 0..4),
+        0u8..8,
+    )
+        .prop_map(|(stream, submits, action)| Call {
+            stream,
+            submits,
+            action,
+        })
+}
+
+/// Applies the controller's between-call action to an engine (either
+/// implementation: the two share the method names).
+macro_rules! act {
+    ($e:expr, $action:expr) => {
+        match $action {
+            1 => $e.apply_resources(ResourceVector::new(4.0, 512.0, 800.0, 40.0)),
+            2 => $e.apply_resources(ResourceVector::new(0.5, 16.0, 100.0, 5.0)),
+            3 => $e.start_balloon(8.0),
+            4 => $e.abort_balloon(),
+            5 => $e.commit_balloon(),
+            _ => {}
+        }
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Streaming each window's arrivals is bit-identical to submitting
+    /// them all when the call starts: across same-µs arrival runs, ties
+    /// with events queued before the call and events pushed during it,
+    /// stream items past the window (they wait in the arrival lane),
+    /// out-of-order `submit_at`s, admission rejections, and resizes and
+    /// balloon steps between calls. The batch side also runs on the
+    /// oracle, which queues every arrival as an event, so the tie-heavy
+    /// grid pins the arrival lane's order as well.
+    #[test]
+    fn streamed_arrivals_match_batch_submission(
+        calls in prop::collection::vec(arb_call(), 1..8),
+        max_outstanding in (0usize..3).prop_map(|i| [3, 12, 400][i]),
+        prewarm_pages in 0u64..600,
+    ) {
+        let cfg = EngineConfig {
+            max_outstanding,
+            balloon_step_us: 10 * GRID,
+            ..EngineConfig::default()
+        };
+        let container = ResourceVector::new(1.0, 64.0, 200.0, 10.0);
+        let mut streamed = Engine::new(cfg, container);
+        let mut batch = Engine::new(cfg, container);
+        let mut oracle = OracleEngine::new(cfg, container);
+        streamed.prewarm(prewarm_pages);
+        batch.prewarm(prewarm_pages);
+        oracle.prewarm(prewarm_pages);
+        for (k, call) in calls.iter().enumerate() {
+            let start = k as u64 * WINDOW;
+            for (offset, spec) in &call.submits {
+                let at = SimTime::from_micros(start + offset * GRID);
+                streamed.submit_at(at, spec.clone());
+                batch.submit_at(at, spec.clone());
+                oracle.submit_at(at, spec.clone());
+            }
+            let mut at = start;
+            let items: Vec<(SimTime, RequestSpec)> = call
+                .stream
+                .iter()
+                .map(|(gap, spec)| {
+                    at += gap * GRID;
+                    (SimTime::from_micros(at), spec.clone())
+                })
+                .collect();
+            let end = SimTime::from_micros(start + WINDOW);
+            for (at, spec) in &items {
+                batch.submit_at(*at, spec.clone());
+                oracle.submit_at(*at, spec.clone());
+            }
+            batch.run_until(end);
+            oracle.run_until(end);
+            streamed.run_with_arrivals(end, items);
+            let (a, b) = (streamed.end_interval(), batch.end_interval());
+            prop_assert_eq!(&a, &b, "window {} diverged", k);
+            prop_assert_eq!(&b, &oracle.end_interval(), "window {} left the oracle", k);
+            act!(streamed, call.action);
+            act!(batch, call.action);
+            act!(oracle, call.action);
+        }
+        let drain = SimTime::from_secs(600);
+        streamed.run_until(drain);
+        batch.run_until(drain);
+        oracle.run_until(drain);
+        let (a, b) = (streamed.end_interval(), batch.end_interval());
+        prop_assert_eq!(&a, &b, "final drain diverged");
+        prop_assert_eq!(&b, &oracle.end_interval(), "final drain left the oracle");
+        prop_assert_eq!(a.outstanding, 0);
     }
 }

@@ -6,7 +6,9 @@
 //! current clock or later) while stressing every structural case:
 //! same-timestamp ties, bucket boundary times, slot collisions across
 //! windows, and far-future overflow entries that must drain back into the
-//! buckets as the window advances.
+//! buckets as the window advances. A third property checks the bucket node
+//! slab: popped nodes are reused, across window jumps too, so the slab
+//! never holds more nodes than the wheel ever held events.
 
 use dasr_engine::wheel::EventWheel;
 use proptest::prelude::*;
@@ -99,6 +101,56 @@ proptest! {
         }
         for seq in 0..n as u64 {
             prop_assert_eq!(wheel.pop_due(u64::MAX), Some((t, seq, 0u8)));
+        }
+        prop_assert!(wheel.is_empty());
+    }
+
+    /// Node-slab reuse across window jumps: however far the window jumps
+    /// (far-future deltas make it leap past empty stretches), the slab
+    /// never grows past the peak number of queued events, pops still match
+    /// the heap oracle, and once the wheel is empty every node can be
+    /// handed out again without growing the slab.
+    #[test]
+    fn node_slab_is_reused_across_window_jumps(batches in arb_batches()) {
+        let mut wheel = EventWheel::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u8)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut clock = 0u64;
+        let mut peak = 0usize;
+        for (deltas, horizon_delta) in batches {
+            for d in deltas {
+                seq += 1;
+                wheel.push(clock + d, seq, 0u8);
+                heap.push(Reverse((clock + d, seq, 0u8)));
+                peak = peak.max(wheel.len());
+            }
+            let horizon = clock + horizon_delta;
+            while let Some(got) = wheel.pop_due(horizon) {
+                prop_assert_eq!(Some(got), heap.pop().map(|Reverse(x)| x));
+                clock = got.0;
+            }
+            prop_assert!(
+                wheel.slab_nodes() <= peak,
+                "slab holds {} nodes, but at most {} events were ever queued",
+                wheel.slab_nodes(),
+                peak
+            );
+        }
+        while let Some(got) = wheel.pop_due(u64::MAX) {
+            prop_assert_eq!(Some(got), heap.pop().map(|Reverse(x)| x));
+            clock = got.0;
+        }
+        prop_assert!(heap.is_empty());
+        // Every node is free now: refilling one bucket with as many events
+        // as the slab holds must reuse all of them.
+        let nodes = wheel.slab_nodes();
+        for _ in 0..nodes {
+            seq += 1;
+            wheel.push(clock, seq, 0u8);
+        }
+        prop_assert_eq!(wheel.slab_nodes(), nodes, "freed nodes were not reused");
+        for _ in 0..nodes {
+            prop_assert!(wheel.pop_due(clock).is_some());
         }
         prop_assert!(wheel.is_empty());
     }

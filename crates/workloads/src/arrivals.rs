@@ -13,8 +13,9 @@ use dasr_engine::{Engine, RequestSpec, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Drives a workload through a trace, submitting Poisson arrivals to the
-/// engine one minute at a time.
+/// Drives a workload through a trace, generating Poisson arrivals one
+/// minute at a time — lazily with [`arrivals`](Self::arrivals), or as a
+/// batch with [`arrivals_for_minute`](Self::arrivals_for_minute).
 pub struct TraceDriver<W: Workload> {
     trace: Trace,
     workload: W,
@@ -46,23 +47,27 @@ impl<W: Workload> TraceDriver<W> {
         self.trace.minutes()
     }
 
+    /// The arrivals for `minute` (0-based) as a lazy stream of
+    /// `(arrival_time, spec)` pairs in time order. Each item is drawn when
+    /// it is pulled; exhausting the stream draws exactly what
+    /// [`arrivals_for_minute`](Self::arrivals_for_minute) draws, so the
+    /// driver's random stream continues identically either way.
+    pub fn arrivals(&mut self, minute: usize) -> MinuteArrivals<'_, W> {
+        let rate = self.trace.target_rps(minute);
+        MinuteArrivals {
+            rng: &mut self.rng,
+            workload: &mut self.workload,
+            rate,
+            start_us: minute as u64 * 60_000_000,
+            // A silent minute never draws.
+            t: (rate < 1e-3).then_some(f64::INFINITY),
+        }
+    }
+
     /// Generates the arrivals for `minute` (0-based) without an engine —
     /// returns `(arrival_time, spec)` pairs.
     pub fn arrivals_for_minute(&mut self, minute: usize) -> Vec<(SimTime, RequestSpec)> {
-        let rate = self.trace.target_rps(minute);
-        let start_us = minute as u64 * 60_000_000;
-        let mut out = Vec::new();
-        if rate < 1e-3 {
-            return out;
-        }
-        // Exponential gaps in seconds at `rate` events/s.
-        let mut t = exponential(&mut self.rng, rate);
-        while t < 60.0 {
-            let at = SimTime::from_micros(start_us + (t * 1_000_000.0) as u64);
-            out.push((at, self.workload.next_request(&mut self.rng)));
-            t += exponential(&mut self.rng, rate);
-        }
-        out
+        self.arrivals(minute).collect()
     }
 
     /// Submits the arrivals for `minute` directly into `engine`.
@@ -79,10 +84,47 @@ impl<W: Workload> TraceDriver<W> {
     }
 }
 
+/// One minute of open-loop arrivals, drawn on demand (see
+/// [`TraceDriver::arrivals`]).
+///
+/// Draw order: a gap; then, while the arrival time is inside the minute, a
+/// request spec and the next gap. The gap that first lands past 60 s ends
+/// the stream.
+pub struct MinuteArrivals<'a, W: Workload> {
+    rng: &'a mut StdRng,
+    workload: &'a mut W,
+    rate: f64,
+    start_us: u64,
+    /// Seconds into the minute of the next arrival; `None` until the first
+    /// gap is drawn.
+    t: Option<f64>,
+}
+
+impl<W: Workload> Iterator for MinuteArrivals<'_, W> {
+    type Item = (SimTime, RequestSpec);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // Exponential gaps in seconds at `rate` events/s.
+        let t = match self.t {
+            Some(t) => t,
+            None => exponential(self.rng, self.rate),
+        };
+        self.t = Some(t);
+        if t >= 60.0 {
+            return None;
+        }
+        let at = SimTime::from_micros(self.start_us + (t * 1_000_000.0) as u64);
+        let spec = self.workload.next_request(self.rng);
+        self.t = Some(t + exponential(self.rng, self.rate));
+        Some((at, spec))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpuio::{CpuIoConfig, CpuIoWorkload};
+    use rand::Rng;
 
     fn driver(rps: f64) -> TraceDriver<CpuIoWorkload> {
         TraceDriver::new(
@@ -136,6 +178,35 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(collect(), collect());
+    }
+
+    #[test]
+    fn stream_draws_what_the_batch_draws() {
+        // Same seed, one driver batching and one streaming over several
+        // minutes (including a silent one): identical items, and the rng
+        // ends each minute in the same state.
+        let trace = Trace::new("t", vec![40.0, 0.0, 75.0, 5.0]);
+        let mk = || TraceDriver::new(trace.clone(), CpuIoWorkload::new(CpuIoConfig::small()), 9);
+        let (mut batch, mut lazy) = (mk(), mk());
+        for minute in 0..4 {
+            let want = batch.arrivals_for_minute(minute);
+            let got: Vec<_> = lazy.arrivals(minute).collect();
+            assert_eq!(got.len(), want.len(), "minute {minute}");
+            for ((ga, gs), (wa, ws)) in got.iter().zip(&want) {
+                assert_eq!(ga, wa);
+                assert_eq!(gs.ops, ws.ops);
+            }
+        }
+        assert_eq!(batch.rng.gen::<u64>(), lazy.rng.gen::<u64>());
+    }
+
+    #[test]
+    fn exhausted_stream_stays_exhausted() {
+        let mut d = driver(30.0);
+        let mut s = d.arrivals(0);
+        while s.next().is_some() {}
+        assert!(s.next().is_none());
+        assert!(s.next().is_none());
     }
 
     #[test]
